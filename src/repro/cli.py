@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import signal
 import sys
 import threading
 import time
@@ -373,6 +374,38 @@ def _build_durable_store(wal_dir, fsync: bool, metrics=None, accuracy_sampler=No
     )
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised like Ctrl-C so it unwinds through the same teardown."""
+
+
+def _run_server_command(command, args, out) -> int:
+    """Run ``serve``/``serve-cluster`` so that SIGTERM tears down like Ctrl-C.
+
+    The handler raises :class:`_Terminated` wherever the signal lands, the
+    command's ``finally`` tears everything down, and the exit is clean.
+    Running the teardown in the handler itself would deadlock: the handler
+    runs on the thread inside ``serve_forever``, and stopping the server
+    waits for that loop to exit.  Handlers can only be installed from the
+    main thread; elsewhere (``main`` driven from a worker thread) the
+    command runs as is.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        return command(args, out)
+
+    def terminate(signum, frame):
+        # Ignore repeats: a second SIGTERM must not cut the teardown short.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise _Terminated
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        return command(args, out)
+    except _Terminated:
+        return 0
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _command_serve(args, out) -> int:
     from .obs import AccuracySampler, MetricsRegistry
     from .service import HistogramStore, IngestPipeline, StatisticsServer
@@ -418,36 +451,36 @@ def _command_serve(args, out) -> int:
         trace=args.trace,
         profile=args.profile,
     )
-    host, port = server.address
-    attributes = ", ".join(store.names()) or "none"
-    out.write(f"statistics service listening on http://{host}:{port}\n")
-    out.write(f"attributes: {attributes}\n")
-    if args.trace or args.slow_request_ms is not None:
-        threshold = (
-            f", slow-request log above {args.slow_request_ms:g} ms"
-            if args.slow_request_ms is not None
-            else ""
-        )
-        out.write(f"tracing: X-Repro-Trace-Id enabled{threshold}\n")
-    if sampler is not None:
-        out.write(
-            f"accuracy sampling: {args.accuracy_sample:g} of estimate batches\n"
-        )
-    if args.wal_dir is not None:
-        state = "recovered existing catalog" if recovered else "fresh log"
-        out.write(f"durability: WAL at {args.wal_dir} ({state})\n")
-    if hasattr(out, "flush"):
-        out.flush()
-    if args.duration is not None:
-        server.start()
-        time.sleep(args.duration)
-        server.stop()
-        store.close()
-        return 0
-    try:  # pragma: no cover - interactive foreground mode
-        with contextlib.suppress(KeyboardInterrupt):
+    # The banner sits inside the try: an interrupt that lands while it is
+    # written still closes the server and the WAL.
+    try:
+        host, port = server.address
+        attributes = ", ".join(store.names()) or "none"
+        out.write(f"statistics service listening on http://{host}:{port}\n")
+        out.write(f"attributes: {attributes}\n")
+        if args.trace or args.slow_request_ms is not None:
+            threshold = (
+                f", slow-request log above {args.slow_request_ms:g} ms"
+                if args.slow_request_ms is not None
+                else ""
+            )
+            out.write(f"tracing: X-Repro-Trace-Id enabled{threshold}\n")
+        if sampler is not None:
+            out.write(
+                f"accuracy sampling: {args.accuracy_sample:g} of estimate batches\n"
+            )
+        if args.wal_dir is not None:
+            state = "recovered existing catalog" if recovered else "fresh log"
+            out.write(f"durability: WAL at {args.wal_dir} ({state})\n")
+        if hasattr(out, "flush"):
+            out.flush()
+        if args.duration is not None:
+            server.start()
+            time.sleep(args.duration)
+            return 0
+        with contextlib.suppress(KeyboardInterrupt):  # pragma: no cover
             server.serve_forever()
-    finally:  # pragma: no cover
+    finally:
         server.stop()
         store.close()
     return 0  # pragma: no cover
@@ -501,41 +534,49 @@ def _command_serve_cluster(args, out) -> int:
     metrics = MetricsRegistry()
     stores = []
     supervisor = None
+    coordinator = None
+    server = None
     recovered_any = False
-    if spawn:
-        if args.wal_dir is not None:
-            recovered_any = any(
-                (Path(args.wal_dir) / f"shard-{index}").exists()
-                for index in range(n_shards)
-            )
-        supervisor = ShardSupervisor(
-            n_shards,
-            wal_root=args.wal_dir,
-            wal_fsync=args.wal_fsync,
-        )
-        shards = supervisor.start()
-    else:
-        for index in range(n_shards):
-            if args.wal_dir is not None:
-                store, recovered = _build_durable_store(
-                    Path(args.wal_dir) / f"shard-{index}",
-                    fsync=args.wal_fsync,
-                    metrics=metrics,
-                )
-                recovered_any = recovered_any or recovered
-            else:
-                from .service import HistogramStore
 
-                store = HistogramStore(metrics=metrics)
-            stores.append(store)
-        shards = [
-            LocalShard(f"shard-{index}", store) for index, store in enumerate(stores)
-        ]
-    router = ShardRouter(
-        [shard.shard_id for shard in shards],
-        replication_factor=args.replication_factor,
-    )
+    # One teardown for every exit: a failed start-up, the end of --duration,
+    # and an interrupt (SIGINT, or SIGTERM turned into one) at any point --
+    # including while the banner is written -- so no worker, fan-out thread
+    # or WAL handle outlives the command.
     try:
+        if spawn:
+            if args.wal_dir is not None:
+                recovered_any = any(
+                    (Path(args.wal_dir) / f"shard-{index}").exists()
+                    for index in range(n_shards)
+                )
+            supervisor = ShardSupervisor(
+                n_shards,
+                wal_root=args.wal_dir,
+                wal_fsync=args.wal_fsync,
+            )
+            shards = supervisor.start()
+        else:
+            for index in range(n_shards):
+                if args.wal_dir is not None:
+                    store, recovered = _build_durable_store(
+                        Path(args.wal_dir) / f"shard-{index}",
+                        fsync=args.wal_fsync,
+                        metrics=metrics,
+                    )
+                    recovered_any = recovered_any or recovered
+                else:
+                    from .service import HistogramStore
+
+                    store = HistogramStore(metrics=metrics)
+                stores.append(store)
+            shards = [
+                LocalShard(f"shard-{index}", store)
+                for index, store in enumerate(stores)
+            ]
+        router = ShardRouter(
+            [shard.shard_id for shard in shards],
+            replication_factor=args.replication_factor,
+        )
         coordinator = ClusterCoordinator(
             shards,
             router=router,
@@ -554,7 +595,6 @@ def _command_serve_cluster(args, out) -> int:
                 exist_ok=True,
                 partition_boundaries=partitions.get(name),
             )
-
         server = ClusterServer(
             coordinator,
             host=args.host,
@@ -564,77 +604,55 @@ def _command_serve_cluster(args, out) -> int:
             trace=args.trace,
             profile=args.profile,
         )
-    except BaseException:
+        host, port = server.address
+        out.write(f"statistics cluster listening on http://{host}:{port}\n")
         if supervisor is not None:
-            supervisor.close()
-        for store in stores:
-            store.close()
-        raise
-    host, port = server.address
-    out.write(f"statistics cluster listening on http://{host}:{port}\n")
-    if supervisor is not None:
-        fleet = supervisor.describe()
-        out.write(
-            "shards: "
-            + ", ".join(
-                f"{shard_id} (pid {info['pid']}, port {info['port']})"
-                for shard_id, info in fleet.items()
+            fleet = supervisor.describe()
+            out.write(
+                "shards: "
+                + ", ".join(
+                    f"{shard_id} (pid {info['pid']}, port {info['port']})"
+                    for shard_id, info in fleet.items()
+                )
+                + "\n"
             )
-            + "\n"
-        )
-    else:
-        out.write(f"shards: {', '.join(coordinator.shard_ids)}\n")
-    attributes = ", ".join(
-        f"{name} (partitioned)" if name in partitions else name
-        for name in sorted(attribute_specs)
-    ) or "none"
-    out.write(f"attributes: {attributes}\n")
-    if args.replication_factor > 1:
-        out.write(f"replication factor: {args.replication_factor}\n")
-    if args.replica_reads:
-        out.write("replica reads: rotating over fresh replicas\n")
-    if args.wal_dir is not None:
-        state = "recovered existing catalogs" if recovered_any else "fresh logs"
-        owner = " (worker-owned)" if supervisor is not None else ""
-        out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}){owner}\n")
-    if args.trace or args.slow_request_ms is not None:
-        detail = "tracing: X-Repro-Trace-Id enabled"
-        if args.slow_request_ms is not None:
-            detail += f", slow-request log above {args.slow_request_ms:g} ms"
-        out.write(detail + "\n")
-    if hasattr(out, "flush"):
-        out.flush()
-
-    # Idempotent teardown: the --duration finally block, the serve_forever
-    # finally block and any racing signal handler can each call this without
-    # double-closing sockets, the fan-out pool, the fleet or the WALs.
-    shutdown_done = threading.Event()
-
-    def shutdown() -> None:
-        if shutdown_done.is_set():
-            return
-        shutdown_done.set()
-        server.stop()  # also closes the coordinator's fan-out pool
+        else:
+            out.write(f"shards: {', '.join(coordinator.shard_ids)}\n")
+        attributes = ", ".join(
+            f"{name} (partitioned)" if name in partitions else name
+            for name in sorted(attribute_specs)
+        ) or "none"
+        out.write(f"attributes: {attributes}\n")
+        if args.replication_factor > 1:
+            out.write(f"replication factor: {args.replication_factor}\n")
+        if args.replica_reads:
+            out.write("replica reads: rotating over fresh replicas\n")
+        if args.wal_dir is not None:
+            state = "recovered existing catalogs" if recovered_any else "fresh logs"
+            owner = " (worker-owned)" if supervisor is not None else ""
+            out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}){owner}\n")
+        if args.trace or args.slow_request_ms is not None:
+            detail = "tracing: X-Repro-Trace-Id enabled"
+            if args.slow_request_ms is not None:
+                detail += f", slow-request log above {args.slow_request_ms:g} ms"
+            out.write(detail + "\n")
+        if hasattr(out, "flush"):
+            out.flush()
+        if args.duration is not None:
+            server.start()
+            time.sleep(args.duration)
+            return 0
+        with contextlib.suppress(KeyboardInterrupt):  # pragma: no cover
+            server.serve_forever()
+    finally:
+        if server is not None:
+            server.stop()  # also closes the coordinator's fan-out pool
+        elif coordinator is not None:
+            coordinator.close()
         if supervisor is not None:
             supervisor.close()
         for store in stores:
             store.close()
-
-    if args.duration is not None:
-        server.start()
-        try:
-            # The finally guarantees teardown even when the sleep is cut
-            # short (KeyboardInterrupt, test harness timeouts): no leaked
-            # fan-out executor threads, worker processes or WAL handles.
-            time.sleep(args.duration)
-        finally:
-            shutdown()
-        return 0
-    try:  # pragma: no cover - interactive foreground mode
-        with contextlib.suppress(KeyboardInterrupt):
-            server.serve_forever()
-    finally:  # pragma: no cover
-        shutdown()
     return 0  # pragma: no cover
 
 
@@ -664,12 +682,12 @@ def _command_store_stats(args, out) -> int:
     from .exceptions import ServiceError
     from .service import StatisticsClient
 
-    client = StatisticsClient(args.host, args.port)
-    try:
-        attributes = client.stats()["attributes"]
-    except (OSError, ServiceError) as error:
-        out.write(f"cannot reach statistics server at {args.host}:{args.port}: {error}\n")
-        return 2
+    with StatisticsClient(args.host, args.port) as client:
+        try:
+            attributes = client.stats()["attributes"]
+        except (OSError, ServiceError) as error:
+            out.write(f"cannot reach statistics server at {args.host}:{args.port}: {error}\n")
+            return 2
     out.write(f"statistics server at {args.host}:{args.port} "
               f"({len(attributes)} attribute(s))\n")
     out.write(format_store_stats(attributes) + "\n")
@@ -756,47 +774,47 @@ def _command_metrics(args, out) -> int:
     from .exceptions import ServiceError
     from .service import StatisticsClient
 
-    client = StatisticsClient(args.host, args.port)
-    try:
-        text = client.metrics_text()
-    except (OSError, ServiceError) as error:
-        out.write(f"cannot reach server at {args.host}:{args.port}: {error}\n")
-        return 2
-    if args.watch is None:
-        out.write(text)
+    with StatisticsClient(args.host, args.port) as client:
+        try:
+            text = client.metrics_text()
+        except (OSError, ServiceError) as error:
+            out.write(f"cannot reach server at {args.host}:{args.port}: {error}\n")
+            return 2
+        if args.watch is None:
+            out.write(text)
+            return 0
+        if args.watch <= 0:
+            out.write("--watch must be a positive number of seconds\n")
+            return 2
+        types, before = parse_exposition(text)
+        start = time.perf_counter()
+        time.sleep(args.watch)
+        try:
+            second = client.metrics_text()
+        except (OSError, ServiceError) as error:
+            out.write(f"cannot reach server at {args.host}:{args.port}: {error}\n")
+            return 2
+        elapsed = time.perf_counter() - start
+        second_types, after = parse_exposition(second)
+        types.update(second_types)
+        out.write(
+            f"metrics delta over {elapsed:.2f}s "
+            f"(counters: delta + rate; gauges: current)\n"
+        )
+        out.write(format_metrics_watch(types, before, after, elapsed) + "\n")
         return 0
-    if args.watch <= 0:
-        out.write("--watch must be a positive number of seconds\n")
-        return 2
-    types, before = parse_exposition(text)
-    start = time.perf_counter()
-    time.sleep(args.watch)
-    try:
-        second = client.metrics_text()
-    except (OSError, ServiceError) as error:
-        out.write(f"cannot reach server at {args.host}:{args.port}: {error}\n")
-        return 2
-    elapsed = time.perf_counter() - start
-    second_types, after = parse_exposition(second)
-    types.update(second_types)
-    out.write(
-        f"metrics delta over {elapsed:.2f}s "
-        f"(counters: delta + rate; gauges: current)\n"
-    )
-    out.write(format_metrics_watch(types, before, after, elapsed) + "\n")
-    return 0
 
 
 def _command_cluster_stats(args, out) -> int:
     from .cluster import ClusterClient
     from .exceptions import ServiceError
 
-    client = ClusterClient(args.host, args.port)
-    try:
-        stats = client.cluster_stats()
-    except (OSError, ServiceError) as error:
-        out.write(f"cannot reach cluster server at {args.host}:{args.port}: {error}\n")
-        return 2
+    with ClusterClient(args.host, args.port) as client:
+        try:
+            stats = client.cluster_stats()
+        except (OSError, ServiceError) as error:
+            out.write(f"cannot reach cluster server at {args.host}:{args.port}: {error}\n")
+            return 2
     placement = stats.get("placement", {})
     shards = stats.get("shards", [])
     out.write(
@@ -835,12 +853,12 @@ def _command_resync(args, out) -> int:
     from .cluster import ClusterClient
     from .exceptions import ServiceError
 
-    client = ClusterClient(args.host, args.port)
-    try:
-        report = client.resync(args.shard)
-    except (OSError, ServiceError) as error:
-        out.write(f"resync of {args.shard!r} failed: {error}\n")
-        return 2
+    with ClusterClient(args.host, args.port) as client:
+        try:
+            report = client.resync(args.shard)
+        except (OSError, ServiceError) as error:
+            out.write(f"resync of {args.shard!r} failed: {error}\n")
+            return 2
     resynced = report.get("resynced", {})
     out.write(f"resynced {len(resynced)} attribute(s) onto {report['shard']}\n")
     for name, source in sorted(resynced.items()):
@@ -862,13 +880,13 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     if args.command == "compare":
         return _command_compare(args, out)
     if args.command == "serve":
-        return _command_serve(args, out)
+        return _run_server_command(_command_serve, args, out)
     if args.command == "store-stats":
         return _command_store_stats(args, out)
     if args.command == "metrics":
         return _command_metrics(args, out)
     if args.command == "serve-cluster":
-        return _command_serve_cluster(args, out)
+        return _run_server_command(_command_serve_cluster, args, out)
     if args.command == "cluster-stats":
         return _command_cluster_stats(args, out)
     if args.command == "resync":

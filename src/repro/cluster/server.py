@@ -40,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 from collections.abc import Mapping, Sequence
 from typing import Any
 
@@ -56,7 +56,7 @@ from ..obs.profile import DEFAULT_SAMPLE_INTERVAL_S, SamplingProfiler
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import TRACE_HEADER, RequestObserver, route_label, use_trace
 from ..service.client import StatisticsClient
-from ..service.server import METRICS_CONTENT_TYPE
+from ..service.server import METRICS_CONTENT_TYPE, KeepAliveHTTPServer
 from .coordinator import ClusterCoordinator
 
 __all__ = ["ClusterServer", "ClusterClient"]
@@ -67,6 +67,8 @@ class _ClusterRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-statistics-cluster/1.0"
     protocol_version = "HTTP/1.1"
+    # Two writes per response (headers, body): see the service handler.
+    disable_nagle_algorithm = True
 
     # Set by ClusterServer when building the handler class.
     coordinator: ClusterCoordinator
@@ -368,8 +370,7 @@ class ClusterServer:
                 "profiler": self.profiler,
             },
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = KeepAliveHTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
         self._started = False
         self._stopped = False
@@ -402,10 +403,12 @@ class ClusterServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop serving, close the socket and the coordinator's fan-out pool.
+        """Stop serving, close the sockets and the coordinator's fan-out pool.
 
-        Idempotent: a second call (e.g. a signal handler racing the
-        ``--duration`` teardown) returns without touching the closed socket.
+        Open keep-alive connections are shut down too, so their handler
+        threads exit.  Idempotent: a second call (e.g. a signal handler
+        racing the ``--duration`` teardown) returns without touching the
+        closed socket.
         """
         if self._stopped:
             return
@@ -413,6 +416,7 @@ class ClusterServer:
         if self._started:
             self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join()
             self._thread = None

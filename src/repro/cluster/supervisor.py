@@ -159,7 +159,7 @@ class ShardSupervisor:
         )
         try:
             bound_port = self._await_ready(shard_id, process)
-        except Exception:
+        except BaseException:  # an interrupt too: never leak the new worker
             process.kill()
             process.wait()
             raise
@@ -216,12 +216,14 @@ class ShardSupervisor:
                     retries=self._client_retries,
                     retry_backoff=self._client_retry_backoff,
                 )
-                client.call("ping")  # liveness fence before the fleet is handed out
+                # Registered before the ping, so close() reaps this worker
+                # whatever interrupts the rest of the start-up.
                 with self._lock:
                     self._handles[shard_id] = handle
                     self._clients[shard_id] = client
+                client.call("ping")  # liveness fence before the fleet is handed out
                 shards.append(ProcessShard(shard_id, client))
-        except Exception:
+        except BaseException:
             self.close()
             raise
         self._monitor = threading.Thread(

@@ -1,8 +1,8 @@
 """Binary shard transport: persistent connections + length-prefixed frames.
 
 The HTTP path (:class:`~repro.cluster.protocol.RemoteShard` over
-:class:`~repro.service.client.StatisticsClient`) opens one TCP connection per
-request and pays HTTP head parsing on both sides.  Spawned shard processes
+:class:`~repro.service.client.StatisticsClient`) pays HTTP head parsing on
+both sides of every request.  Spawned shard processes
 (:mod:`repro.cluster.supervisor`) instead speak this binary protocol over a
 small pool of **persistent** connections.
 

@@ -3,29 +3,48 @@
 A thin JSON wrapper over :mod:`http.client` mirroring every server route, so
 tests (and the CLI's ``store-stats`` command) can drive an in-process
 :class:`~repro.service.server.StatisticsServer` without third-party
-dependencies.  Each call opens its own connection, which makes the client
-trivially safe to share between threads.
+dependencies.
+
+Connections are persistent (HTTP/1.1 keep-alive).  The client keeps a small
+lock-guarded LIFO pool of idle connections, so it is safe to share between
+threads: each request checks one connection out, uses it alone and checks it
+back in.  Concurrent requests beyond the pool's capacity open extra
+connections, which are closed again on check-in.  :meth:`StatisticsClient.close`
+(or leaving a ``with`` block) closes the idle ones.
 
 Attribute names are URL-escaped with :func:`urllib.parse.quote` (``safe=''``),
 so names containing ``/``, spaces or ``%`` route correctly; the server
 unquotes each path segment on the way in.
 
-Connection failures are retried with bounded exponential backoff (the cluster
-coordinator's scatter-gather fan-out hits shards that may still be binding or
-briefly restarting).  Retries never risk double-applying a write: a *connect*
-failure is always retriable because nothing reached the server, while a
-failure after the request was handed to the transport is only retried for
-idempotent ``GET`` requests -- a ``POST`` whose fate is unknown is raised
-immediately so the caller decides.
+Dead connections and retries
+----------------------------
+
+A pooled connection can die while idle, for example when the server restarts.
+Checkout therefore probes an idle socket before reusing it: a readable idle
+socket means the server closed it (or sent bytes nobody asked for), so it is
+closed and the next idle one is probed, or a new connection is opened.  The
+probe and the connect belong to the *connect phase*: nothing of the request
+has reached the server yet, so failures there are retried with bounded
+exponential backoff (the cluster coordinator's scatter-gather fan-out hits
+shards that may still be binding or briefly restarting).
+
+Once the request was handed to the transport its fate is unknown.  Any failure
+from then on closes that connection, and only an idempotent ``GET`` may be
+retried; a ``POST`` whose fate is unknown is raised immediately so the caller
+decides -- resending it could double-apply a write (REP007).  A response that
+announces ``Connection: close`` is read to the end and its connection is not
+returned to the pool.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import select
+import socket
 import threading
 import time
-from http.client import HTTPConnection, HTTPException
+from http.client import HTTPConnection, HTTPException, HTTPResponse
 from collections.abc import Mapping, Sequence
 from typing import Any
 from urllib.parse import quote
@@ -35,6 +54,25 @@ from ..exceptions import ServiceError, UnknownAttributeError
 from ..obs.trace import TRACE_HEADER, current_trace_id
 
 __all__ = ["StatisticsClient"]
+
+#: Idle keep-alive connections a client keeps per server.  Concurrent
+#: requests beyond it still run; their extra connections close on check-in.
+POOL_SIZE = 8
+
+
+def _peer_closed(sock: socket.socket) -> bool:
+    """True when an idle keep-alive socket is readable.
+
+    Nothing is owed on an idle connection, so readability means EOF (the
+    server closed it), a reset, or stray bytes -- none of which a new request
+    can safely follow.
+    """
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    readable, _, _ = select.select([sock], [], [], 0)  # pragma: no cover
+    return bool(readable)
 
 
 class StatisticsClient:
@@ -67,15 +105,25 @@ class StatisticsClient:
             require_positive_float(retry_backoff, "retry_backoff")
         self.retries = int(retries)
         self.retry_backoff = float(retry_backoff)
-        # Transport telemetry: connect-retry attempts and total backoff time.
+        # Transport telemetry: connect-retry attempts, total backoff time and
+        # how many connections were opened versus reused from the pool.
         # Always kept as a client-side stat; additionally mirrored into a
         # metrics registry after bind_metrics() (RemoteShard does this so the
-        # coordinator's registry sees per-endpoint retry behaviour).
-        self.transport_stats = {"connect_retries": 0, "backoff_seconds": 0.0}
+        # coordinator's registry sees per-endpoint transport behaviour).
+        self.transport_stats: dict[str, float] = {
+            "connect_retries": 0,
+            "backoff_seconds": 0.0,
+            "connections_opened": 0,
+            "connections_reused": 0,
+        }
         self._stats_lock = threading.Lock()
         self._m_connect_retries: Any | None = None
         self._m_backoff_seconds: Any | None = None
+        self._m_connections: Any | None = None
         self._endpoint = f"{host}:{port}"
+        self._idle: list[HTTPConnection] = []
+        self._pool_lock = threading.Lock()
+        self._closed = False
 
     def bind_metrics(self, metrics: Any) -> None:
         """Mirror transport stats into ``metrics`` with an endpoint label."""
@@ -89,6 +137,18 @@ class StatisticsClient:
             "Total time slept in retry backoff, per endpoint",
             labelnames=("endpoint",),
         )
+        self._m_connections = metrics.counter(
+            "repro_client_connections_total",
+            "Connections a request used, per endpoint, by whether it was "
+            "opened for the request or reused from the keep-alive pool",
+            labelnames=("endpoint", "outcome"),
+        )
+
+    def _record_connection(self, outcome: str) -> None:
+        with self._stats_lock:
+            self.transport_stats[f"connections_{outcome}"] += 1
+        if self._m_connections is not None:
+            self._m_connections.inc(1, endpoint=self._endpoint, outcome=outcome)
 
     def _record_connect_failure(self) -> None:
         with self._stats_lock:
@@ -101,6 +161,61 @@ class StatisticsClient:
             self.transport_stats["backoff_seconds"] += pause
         if self._m_backoff_seconds is not None:
             self._m_backoff_seconds.inc(pause, endpoint=self._endpoint)
+
+    # ------------------------------------------------------------------
+    # keep-alive pool
+    # ------------------------------------------------------------------
+    def _checkout(self) -> HTTPConnection:
+        """A live pooled connection, or a newly opened one (connect phase).
+
+        Idle connections are probed first; one the server closed is dropped
+        and the next is tried.  Connect errors propagate as :class:`OSError`:
+        nothing has reached the server, so the caller may always retry.
+        """
+        while True:
+            with self._pool_lock:
+                if self._closed:
+                    raise ServiceError("client is closed")
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                break
+            if not _peer_closed(connection.sock):
+                self._record_connection("reused")
+                return connection
+            connection.close()
+        # Connect OUTSIDE the pool lock: socket I/O under a held lock would
+        # stall every concurrent checkout.
+        connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
+        try:
+            connection.connect()
+        except OSError:
+            connection.close()
+            raise
+        self._record_connection("opened")
+        return connection
+
+    def _checkin(self, connection: HTTPConnection, response: HTTPResponse) -> None:
+        """Return a connection to the pool unless the server is closing it."""
+        if not response.will_close and connection.sock is not None:
+            with self._pool_lock:
+                if not self._closed and len(self._idle) < POOL_SIZE:
+                    self._idle.append(connection)
+                    return
+        connection.close()
+
+    def close(self) -> None:
+        """Close every pooled connection; later requests raise (idempotent)."""
+        with self._pool_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> StatisticsClient:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # transport
@@ -124,29 +239,27 @@ class StatisticsClient:
                 pause = self.retry_backoff * (2 ** (attempt - 1))
                 self._record_backoff(pause)
                 time.sleep(pause)
-            connection = HTTPConnection(self.host, self.port, timeout=self.timeout)
             try:
-                try:
-                    # Connect separately from sending: a failure here cannot
-                    # have reached the server, so it is always safe to retry.
-                    connection.connect()
-                except OSError as error:
-                    self._record_connect_failure()
-                    last_error = error
-                    continue
-                try:
-                    connection.request(method, path, body=body, headers=headers)
-                    response = connection.getresponse()
-                    raw = response.read()
-                except (OSError, HTTPException) as error:
-                    # The request may or may not have been processed; only an
-                    # idempotent GET can be retried without double-applying.
-                    if method != "GET":
-                        raise
-                    last_error = error
-                    continue
-            finally:
+                # Probing idle connections and connecting cannot have reached
+                # the server, so a failure here is always safe to retry.
+                connection = self._checkout()
+            except OSError as error:
+                self._record_connect_failure()
+                last_error = error
+                continue
+            try:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+                raw = response.read()
+            except (OSError, HTTPException) as error:
                 connection.close()
+                # The request may or may not have been processed; only an
+                # idempotent GET can be retried without double-applying.
+                if method != "GET":
+                    raise
+                last_error = error
+                continue
+            self._checkin(connection, response)
             return response.status, raw
         assert last_error is not None
         raise last_error

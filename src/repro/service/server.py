@@ -34,7 +34,9 @@ applied synchronously before the response is sent.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -60,11 +62,51 @@ __all__ = ["StatisticsServer"]
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
+class KeepAliveHTTPServer(ThreadingHTTPServer):
+    """A thread-per-connection server that can close its open connections.
+
+    A keep-alive handler thread blocks reading the next request line until
+    its client hangs up.  The server remembers every accepted socket until
+    its handler finishes, so :meth:`close_connections` can shut the idle
+    ones down on stop and let their threads exit.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Shut down every accepted socket whose handler is still running."""
+        # Copy under the lock, shut down outside it: socket calls never run
+        # while a lock is held.
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            with contextlib.suppress(OSError):  # its handler closed it already
+                connection.shutdown(socket.SHUT_RDWR)
+
+
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Routes HTTP requests to the owning server's store."""
 
     server_version = "repro-statistics/1.0"
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in two writes; without TCP_NODELAY a keep-alive
+    # client's delayed ACK stalls the second one for about 40 ms.
+    disable_nagle_algorithm = True
 
     # Set by StatisticsServer when building the handler class.
     store: HistogramStore
@@ -398,8 +440,7 @@ class StatisticsServer:
                 "profiler": self.profiler,
             },
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = KeepAliveHTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
         self._started = False
 
@@ -435,9 +476,11 @@ class StatisticsServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Stop serving, close the socket and drain the ingest pipeline.
+        """Stop serving, close the sockets and drain the ingest pipeline.
 
-        Safe to call on a server that was constructed but never started:
+        Open keep-alive connections are shut down too, so their handler
+        threads exit instead of waiting for a next request.  Safe to call on
+        a server that was constructed but never started:
         ``BaseServer.shutdown`` would block forever waiting for a
         ``serve_forever`` loop that never ran, so it is only invoked after a
         start, while the bound socket is always closed.
@@ -445,6 +488,7 @@ class StatisticsServer:
         if self._started:
             self._httpd.shutdown()
         self._httpd.server_close()
+        self._httpd.close_connections()
         if self._thread is not None:
             self._thread.join()
             self._thread = None

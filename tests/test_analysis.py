@@ -336,6 +336,63 @@ class TestRep007NoPostRetry:
         """
         assert findings(source, self.PATH, "REP007") == []
 
+    def test_flags_post_retried_after_pooled_connection_failed(self):
+        source = """
+            def _raw_request(self, method, path, body):
+                for attempt in range(3):
+                    try:
+                        connection = self._checkout()
+                    except OSError:
+                        continue
+                    try:
+                        connection.request(method, path, body=body)
+                        response = connection.getresponse()
+                        raw = response.read()
+                    except (OSError, HTTPException):
+                        # Closing the dead pooled connection does not make
+                        # resending safe: the POST may have been applied.
+                        connection.close()
+                        continue
+                    self._checkin(connection, response)
+                    return response.status, raw
+        """
+        assert findings(source, self.PATH, "REP007") == ["REP007"]
+
+    def test_passes_checkout_probe_reconnect(self):
+        source = """
+            def _checkout(self):
+                while True:
+                    with self._pool_lock:
+                        connection = self._idle.pop() if self._idle else None
+                    if connection is None:
+                        break
+                    if not _peer_closed(connection.sock):
+                        return connection
+                    connection.close()
+                connection = HTTPConnection(self.host, self.port)
+                connection.connect()
+                return connection
+
+            def _raw_request(self, method, path, body):
+                for attempt in range(3):
+                    try:
+                        connection = self._checkout()
+                    except OSError:
+                        continue
+                    try:
+                        connection.request(method, path, body=body)
+                        response = connection.getresponse()
+                        raw = response.read()
+                    except (OSError, HTTPException):
+                        connection.close()
+                        if method != "GET":
+                            raise
+                        continue
+                    self._checkin(connection, response)
+                    return response.status, raw
+        """
+        assert findings(source, self.PATH, "REP007") == []
+
     def test_scope_is_clients_only(self):
         source = """
             def elsewhere(self, connection, method, path):

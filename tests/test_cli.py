@@ -1,6 +1,7 @@
 """Unit tests for the repro-experiments command-line interface."""
 
 import io
+import os
 
 import pytest
 
@@ -118,6 +119,7 @@ class TestServeCommand:
             while client.total_count("age") < 500 and time.time() < deadline:
                 time.sleep(0.01)
             assert client.total_count("age") == pytest.approx(500.0)
+            client.close()
         finally:
             thread.join(timeout=30)
         assert not thread.is_alive()
@@ -211,6 +213,7 @@ class TestServeClusterCommand:
             assert client.total_count("hot") == pytest.approx(400.0)
             stats = client.cluster_stats()
             assert "hot" in stats["placement"]["partitions"]
+            client.close()
         finally:
             thread.join(timeout=30)
         assert not thread.is_alive()
@@ -407,6 +410,7 @@ class TestMetricsWatchCommand:
                 ["metrics", "--host", host, "--port", str(port), "--watch", "0.3"]
             )
             worker.join()
+            client.close()
         assert code == 0
         assert "metrics delta over" in output
         # Counters that moved show a signed delta and a rate.
@@ -484,6 +488,121 @@ class TestServeProfileFlag:
             client.ingest("age", insert=[float(v % 90) for v in range(2000)])
             profile = client._request("GET", "/profile")
             assert "samples" in profile and "hot_stacks" in profile
+            client.close()
         finally:
             assert done.wait(10.0)
             thread.join()
+
+
+def _live_worker(pid):
+    """True while ``pid`` is a running (not zombie) shard worker process."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as stat:
+            state = stat.read().rsplit(")", 1)[1].split()[0]
+        with open(f"/proc/{pid}/cmdline", "rb") as cmdline:
+            command = cmdline.read()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return False
+    return state != "Z" and b"repro.cluster.worker" in command
+
+
+def _port_bound(port):
+    import socket
+
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=0.5):
+            return True
+    except OSError:
+        return False
+
+
+class TestServerTeardown:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find workers")
+    def test_sigterm_stops_spawned_workers(self):
+        """Regression: SIGTERM used to kill ``serve-cluster`` outright and
+        leave every spawned worker running with its port bound."""
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve-cluster", "--port", "0",
+             "--spawn-shards", "2", "-a", "age:dc:0.5"],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        workers = {}
+        port = None
+        try:
+            banner = ""
+            while "attributes:" not in banner:
+                line = process.stdout.readline().decode()
+                assert line, f"server exited during start-up: {banner!r}"
+                banner += line
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+)", banner).group(1))
+            workers = {
+                int(pid): int(worker_port)
+                for pid, worker_port in re.findall(r"pid (\d+), port (\d+)", banner)
+            }
+            assert len(workers) == 2
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=30) == 0
+        finally:
+            process.kill()
+            process.wait()
+            process.stdout.close()
+            survivors = [pid for pid in workers if _live_worker(pid)]
+            for pid in survivors:
+                os.kill(pid, signal.SIGKILL)
+        assert survivors == []
+        bound = [p for p in [port, *workers.values()] if p is not None and _port_bound(p)]
+        assert bound == []
+
+    @pytest.mark.parametrize(
+        "fleet", [["--shards", "2"], ["--spawn-shards", "1"]], ids=["local", "spawned"]
+    )
+    def test_interrupt_while_writing_the_banner_tears_down(
+        self, fleet, monkeypatch, tmp_path
+    ):
+        """Regression: the banner used to be written before the teardown
+        ``try``, so a Ctrl-C landing on it leaked the workers and WALs."""
+        from repro.cluster import ClusterServer, ShardSupervisor
+        from repro.service import HistogramStore
+
+        closed = []
+        worker_pids = []
+
+        def recording(owner, method, label):
+            original = getattr(owner, method)
+
+            def wrapper(self):
+                closed.append(label)
+                if label == "supervisor":
+                    worker_pids.extend(info["pid"] for info in self.describe().values())
+                return original(self)
+
+            monkeypatch.setattr(owner, method, wrapper)
+
+        recording(HistogramStore, "close", "store")
+        recording(ShardSupervisor, "close", "supervisor")
+        recording(ClusterServer, "stop", "server")
+
+        class InterruptingOut:
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            main(
+                ["serve-cluster", "--port", "0", *fleet, "-a", "age:dc:0.5",
+                 "--wal-dir", str(tmp_path), "--duration", "30"],
+                out=InterruptingOut(),
+            )
+        if fleet[0] == "--shards":
+            assert sorted(closed) == ["server", "store", "store"]
+        else:
+            assert sorted(closed) == ["server", "supervisor"]
+            assert len(worker_pids) == 1
+            assert not any(_live_worker(pid) for pid in worker_pids)

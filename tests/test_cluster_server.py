@@ -1,6 +1,12 @@
 """End-to-end tests for the cluster HTTP server and the cluster-aware client."""
 
+import statistics
+
 import pytest
+from test_service_server import (
+    assert_stop_ends_keep_alive_handler,
+    sequential_estimate_latencies,
+)
 
 from repro import ServiceError, UnknownAttributeError
 from repro.cluster import ClusterClient, ClusterCoordinator, ClusterServer, LocalShard
@@ -18,7 +24,8 @@ def cluster():
 @pytest.fixture
 def client(cluster):
     host, port = cluster.address
-    return ClusterClient(host, port)
+    with ClusterClient(host, port) as pooled:
+        yield pooled
 
 
 class TestClusterRoutes:
@@ -145,6 +152,7 @@ class TestServiceClientCompatibility:
         plain.ingest("age", insert=[1.0, 2.0])
         plain.restore("age", snapshot)
         assert plain.total_count("age") == pytest.approx(500.0)
+        plain.close()
 
     def test_snapshot_of_partitioned_attribute_is_a_clear_error(self, client):
         client.create("hot", "dc", partition_boundaries=[10.0])
@@ -164,3 +172,19 @@ class TestServiceClientCompatibility:
         code = main(["store-stats", "--host", host, "--port", str(port)], out=out)
         assert code == 0
         assert "age" in out.getvalue()
+
+
+class TestKeepAlive:
+    def test_sequential_estimates_reuse_one_connection_without_stall(self, client):
+        # Same regression as the service edge: without TCP_NODELAY on the
+        # handler, each reused-connection response stalls ~40 ms.
+        client.create("hot", "dado", memory_kb=0.5, partition_boundaries=[25.0])
+        client.ingest("hot", insert=[float(v % 50) for v in range(1000)])
+        latencies = sequential_estimate_latencies(client, "hot")
+        assert client.transport_stats["connections_opened"] == 1
+        assert client.transport_stats["connections_reused"] == 51
+        assert statistics.median(latencies) < 0.010
+
+    def test_stop_ends_idle_keep_alive_handler_threads(self):
+        server = ClusterServer(ClusterCoordinator([LocalShard("shard-0")])).start()
+        assert_stop_ends_keep_alive_handler(server, ClusterClient)

@@ -415,4 +415,5 @@ class TestResyncOverHttp:
             stats = client.cluster_stats()
             assert stats["placement"]["replication_factor"] == 2
             assert stats["stale_replicas"] == []
+            client.close()
         assert exact_total(follower, "age") == pytest.approx(50.0)

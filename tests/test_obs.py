@@ -203,11 +203,12 @@ class TestTracePropagation:
                 metrics=registry,
                 slow_request_ms=0.0,
                 trace_sink=cluster_entries.append,
-            ) as front:
-                client = ClusterClient(*front.address)
+            ) as front, ClusterClient(*front.address) as client:
                 client.create("age", "dc", memory_kb=0.5)
                 client.ingest("age", insert=[float(v % 50) for v in range(500)])
                 assert client.total_count("age") == pytest.approx(500.0)
+            for shard in shards:
+                shard.client.close()
 
         assert cluster_entries and shard_entries
         cluster_ids = {entry["trace_id"] for entry in cluster_entries}
@@ -246,8 +247,10 @@ class TestMetricsExposition:
         registry = MetricsRegistry()
         store = HistogramStore(metrics=registry)
         pipeline = IngestPipeline(store, metrics=registry)
-        with StatisticsServer(store, pipeline=pipeline, metrics=registry) as server:
-            client = StatisticsClient(*server.address)
+        with (
+            StatisticsServer(store, pipeline=pipeline, metrics=registry) as server,
+            StatisticsClient(*server.address) as client,
+        ):
             client.create("age", "dc", memory_kb=0.5)
             response = client.ingest("age", insert=[float(v % 30) for v in range(300)])
             assert response["buffered"] is True
@@ -263,8 +266,10 @@ class TestMetricsExposition:
         assert_not_torn(text)
 
     def test_metrics_route_404_without_registry(self):
-        with StatisticsServer(HistogramStore()) as server:
-            client = StatisticsClient(*server.address)
+        with (
+            StatisticsServer(HistogramStore()) as server,
+            StatisticsClient(*server.address) as client,
+        ):
             from repro import ServiceError
 
             with pytest.raises(ServiceError):
@@ -273,8 +278,10 @@ class TestMetricsExposition:
     def test_stats_route_surfaces_requeue_and_drop_counters(self):
         store = HistogramStore()
         pipeline = IngestPipeline(store)
-        with StatisticsServer(store, pipeline=pipeline) as server:
-            client = StatisticsClient(*server.address)
+        with (
+            StatisticsServer(store, pipeline=pipeline) as server,
+            StatisticsClient(*server.address) as client,
+        ):
             client.create("age", "dc", memory_kb=0.5)
             assert client.ingest("age", insert=[1.0, 2.0])["buffered"] is True
             pipeline.flush()

@@ -144,16 +144,20 @@ class TestServiceServerProfile:
     def test_metrics_carries_process_vitals(self):
         registry = MetricsRegistry()
         store = HistogramStore(metrics=registry)
-        with StatisticsServer(store, metrics=registry) as server:
-            client = StatisticsClient(*server.address)
+        with (
+            StatisticsServer(store, metrics=registry) as server,
+            StatisticsClient(*server.address) as client,
+        ):
             text = client.metrics_text()
         assert "repro_process_resident_memory_bytes" in text
         assert "repro_process_threads" in text
         assert "repro_build_info{python=" in text
 
     def test_profile_route_404_when_disabled(self):
-        with StatisticsServer(HistogramStore()) as server:
-            client = StatisticsClient(*server.address)
+        with (
+            StatisticsServer(HistogramStore()) as server,
+            StatisticsClient(*server.address) as client,
+        ):
             from repro.exceptions import ServiceError
 
             with pytest.raises(ServiceError):
@@ -161,8 +165,7 @@ class TestServiceServerProfile:
 
     def test_profile_knob_serves_attribution_and_stops_cleanly(self):
         server = StatisticsServer(HistogramStore(), profile=0.002)
-        with server:
-            client = StatisticsClient(*server.address)
+        with server, StatisticsClient(*server.address) as client:
             client.create("age", "dc", memory_kb=0.5)
             client.ingest("age", insert=[float(v % 90) for v in range(5000)])
             time.sleep(0.05)
@@ -184,16 +187,17 @@ class TestClusterServerProfile:
 
     def test_metrics_carries_process_vitals(self):
         registry = MetricsRegistry()
-        with ClusterServer(self._cluster(registry), metrics=registry) as server:
-            client = ClusterClient(*server.address)
+        with (
+            ClusterServer(self._cluster(registry), metrics=registry) as server,
+            ClusterClient(*server.address) as client,
+        ):
             text = client.metrics_text()
         assert "repro_process_resident_memory_bytes" in text
         assert "repro_build_info{python=" in text
 
     def test_profile_knob_serves_attribution(self):
         server = ClusterServer(self._cluster(), profile=0.002)
-        with server:
-            client = ClusterClient(*server.address)
+        with server, ClusterClient(*server.address) as client:
             client.create("age", "dc", memory_kb=0.5)
             client.ingest("age", insert=[float(v % 90) for v in range(3000)])
             time.sleep(0.05)
@@ -202,8 +206,7 @@ class TestClusterServerProfile:
         assert not server.profiler.running
 
     def test_profile_route_404_when_disabled(self):
-        with ClusterServer(self._cluster()) as server:
-            client = ClusterClient(*server.address)
+        with ClusterServer(self._cluster()) as server, ClusterClient(*server.address) as client:
             from repro.exceptions import ServiceError
 
             with pytest.raises(ServiceError):

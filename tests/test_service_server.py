@@ -1,8 +1,15 @@
 """End-to-end tests for the JSON HTTP statistics server and its client."""
 
 import json
+import socket
+import statistics
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
+from contextlib import suppress
+from http.client import HTTPException
 
 import pytest
 
@@ -14,6 +21,8 @@ from repro import (
     StatisticsServer,
     UnknownAttributeError,
 )
+from repro.obs import MetricsRegistry
+from repro.service.client import POOL_SIZE
 
 
 @pytest.fixture
@@ -25,7 +34,8 @@ def server():
 @pytest.fixture
 def client(server):
     host, port = server.address
-    return StatisticsClient(host, port)
+    with StatisticsClient(host, port) as pooled:
+        yield pooled
 
 
 class TestLifecycleRoutes:
@@ -102,9 +112,9 @@ class TestLifecycleRoutes:
 
         with StatisticsServer(HistogramStore()) as second:
             host, port = second.address
-            fresh_client = StatisticsClient(host, port)
-            fresh_client.restore("age", snapshot)
-            assert fresh_client.total_count("age") == pytest.approx(1500.0)
+            with StatisticsClient(host, port) as fresh_client:
+                fresh_client.restore("age", snapshot)
+                assert fresh_client.total_count("age") == pytest.approx(1500.0)
 
 
 class TestErrorHandling:
@@ -211,9 +221,9 @@ class Test404BodyParsing:
 class TestRawHttpSurface:
     def test_get_estimate_via_query_string(self, server):
         host, port = server.address
-        client = StatisticsClient(host, port)
-        client.create("age", "dc", memory_kb=0.5)
-        client.ingest("age", insert=[float(v % 30) for v in range(900)])
+        with StatisticsClient(host, port) as client:
+            client.create("age", "dc", memory_kb=0.5)
+            client.ingest("age", insert=[float(v % 30) for v in range(900)])
         url = f"http://{host}:{port}/attributes/age/estimate?op=range&low=0&high=29"
         with urllib.request.urlopen(url) as response:
             payload = json.loads(response.read())
@@ -230,12 +240,11 @@ class TestBufferedIngest:
             client.create("age", "dc", memory_kb=0.5)
             response = client.ingest("age", insert=[float(v) for v in range(100)])
             assert response["buffered"] is True
-            import time
-
             deadline = time.time() + 5.0
             while client.total_count("age") < 100 and time.time() < deadline:
                 time.sleep(0.01)
             assert client.total_count("age") == pytest.approx(100.0)
+            client.close()
 
 
 class TestPartialApply:
@@ -315,8 +324,6 @@ class _FlakySocket:
             connection.close()
 
     def __enter__(self):
-        import threading
-
         self._thread = threading.Thread(target=self._loop, daemon=True)
         self._thread.start()
         return self
@@ -383,5 +390,211 @@ class TestClientRetries:
     def test_retry_recovers_when_server_appears(self, server):
         # Against a live server the retrying client behaves identically.
         host, port = server.address
-        patient = StatisticsClient(host, port, retries=3, retry_backoff=0.01)
-        assert patient.health()["status"] == "ok"
+        with StatisticsClient(host, port, retries=3, retry_backoff=0.01) as patient:
+            assert patient.health()["status"] == "ok"
+
+
+def handler_threads():
+    """Live request-handler threads of every ThreadingHTTPServer in the process."""
+    return {
+        thread
+        for thread in threading.enumerate()
+        if "process_request_thread" in thread.name
+    }
+
+
+def assert_stop_ends_keep_alive_handler(server, client_class):
+    """A pooled connection's idle handler thread must exit when the server stops."""
+    baseline = handler_threads()
+    with client_class(*server.address) as pooled:
+        pooled.health()
+        # The handler keeps waiting for the pooled connection's next request.
+        (handler,) = handler_threads() - baseline
+        server.stop()
+        handler.join(timeout=5.0)
+        assert not handler.is_alive()
+
+
+def sequential_estimate_latencies(client, name, count=50):
+    latencies = []
+    for index in range(count):
+        start = time.perf_counter()
+        client.estimate_range(name, index % 20, 40)
+        latencies.append(time.perf_counter() - start)
+    return latencies
+
+
+class _ScriptedHttpServer:
+    """A one-connection-at-a-time HTTP/1.1 server that follows a script.
+
+    Each request it reads takes the next action: ``"ok"`` answers with a
+    keep-alive 200, ``"close"`` answers with ``Connection: close`` and hangs
+    up, and ``"drop"`` hangs up without answering -- a connection that died
+    after the request reached the server.  ``received`` lists the method of
+    every request that arrived.
+    """
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.received = []
+        self.listener = socket.socket()
+        self.listener.bind(("127.0.0.1", 0))
+        self.listener.listen(8)
+        self.listener.settimeout(0.1)
+        self.port = self.listener.getsockname()[1]
+        self._stop = False
+        self._thread = threading.Thread(target=self._loop, daemon=True)
+
+    def _loop(self):
+        while not self._stop:
+            try:
+                connection, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            except OSError:
+                break
+            # A client that keeps its connection idle must not hang __exit__.
+            connection.settimeout(2.0)
+            with connection, connection.makefile("rb") as reader, suppress(TimeoutError):
+                self._serve(connection, reader)
+
+    def _serve(self, connection, reader):
+        while True:
+            request_line = reader.readline()
+            if not request_line:
+                return
+            length = 0
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                key, _, value = line.decode("latin-1").partition(":")
+                if key.strip().lower() == "content-length":
+                    length = int(value)
+            reader.read(length)
+            self.received.append(request_line.split()[0].decode("ascii"))
+            action = self.script.pop(0) if self.script else "drop"
+            if action == "drop":
+                return
+            body = b'{"status": "ok"}'
+            head = f"HTTP/1.1 200 OK\r\nContent-Length: {len(body)}\r\n"
+            if action == "close":
+                head += "Connection: close\r\n"
+            connection.sendall(head.encode("ascii") + b"\r\n" + body)
+            if action == "close":
+                return
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._stop = True
+        self._thread.join()
+        self.listener.close()
+
+
+class TestKeepAlive:
+    def test_sequential_estimates_reuse_one_connection_without_stall(self, client):
+        # Regression: headers and body leave in two writes, so a handler
+        # without TCP_NODELAY stalls every reused connection ~40 ms on the
+        # client's delayed ACK.
+        client.create("age", "dado", memory_kb=0.5)
+        client.ingest("age", insert=[float(v % 50) for v in range(1000)])
+        latencies = sequential_estimate_latencies(client, "age")
+        assert client.transport_stats["connections_opened"] == 1
+        assert client.transport_stats["connections_reused"] == 51
+        assert statistics.median(latencies) < 0.010
+
+    def test_connection_counters_are_mirrored_into_metrics(self, server):
+        registry = MetricsRegistry()
+        with StatisticsClient(*server.address) as pooled:
+            pooled.bind_metrics(registry)
+            for _ in range(3):
+                pooled.health()
+        counter = registry.get("repro_client_connections_total")
+        host, port = server.address
+        endpoint = f"{host}:{port}"
+        assert counter.value(endpoint=endpoint, outcome="opened") == 1
+        assert counter.value(endpoint=endpoint, outcome="reused") == 2
+
+    def test_concurrent_callers_share_a_bounded_pool(self, client):
+        client.create("age", "dc", memory_kb=0.5)
+        client.ingest("age", insert=[float(v % 50) for v in range(500)])
+        errors = []
+
+        def reader():
+            try:
+                for _ in range(20):
+                    assert client.total_count("age") == pytest.approx(500.0)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader) for _ in range(POOL_SIZE + 4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave checkouts and check-ins
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(client._idle) <= POOL_SIZE
+        # Every request took exactly one connection: a lost update in the
+        # pool or its counters breaks the sum.
+        stats = client.transport_stats
+        assert stats["connections_opened"] + stats["connections_reused"] == 2 + 20 * len(threads)
+
+    def test_get_reconnects_after_a_server_restart(self):
+        with StatisticsServer(HistogramStore()) as first:
+            host, port = first.address
+            pooled = StatisticsClient(host, port, retries=0)
+            assert pooled.health()["status"] == "ok"
+        with StatisticsServer(HistogramStore(), host=host, port=port):
+            # The idle connection died with the first server; the checkout
+            # probe notices and reconnects without spending a retry.
+            assert pooled.health()["status"] == "ok"
+        assert pooled.transport_stats["connections_opened"] == 2
+        assert pooled.transport_stats["connect_retries"] == 0
+        pooled.close()
+
+    def test_post_on_a_connection_that_died_after_send_raises(self):
+        with _ScriptedHttpServer(["ok", "drop"]) as scripted:
+            pooled = StatisticsClient("127.0.0.1", scripted.port, retries=2, retry_backoff=0.01)
+            pooled.health()
+            with pytest.raises((OSError, HTTPException)):
+                pooled.ingest("age", insert=[1.0])
+            pooled.close()
+        # The POST reached the server once and was never resent.
+        assert scripted.received == ["GET", "POST"]
+
+    def test_get_on_a_connection_that_died_after_send_is_retried(self):
+        with _ScriptedHttpServer(["ok", "drop", "ok"]) as scripted:
+            pooled = StatisticsClient("127.0.0.1", scripted.port, retries=2, retry_backoff=0.01)
+            pooled.health()
+            assert pooled.health()["status"] == "ok"
+            pooled.close()
+        assert scripted.received == ["GET", "GET", "GET"]
+        assert pooled.transport_stats["connections_opened"] == 2
+
+    def test_connection_close_response_is_not_pooled(self):
+        with _ScriptedHttpServer(["close", "ok"]) as scripted:
+            pooled = StatisticsClient("127.0.0.1", scripted.port)
+            pooled.health()
+            pooled.health()
+            pooled.close()
+        assert pooled.transport_stats["connections_opened"] == 2
+        assert pooled.transport_stats["connections_reused"] == 0
+
+    def test_stop_ends_idle_keep_alive_handler_threads(self):
+        server = StatisticsServer(HistogramStore()).start()
+        assert_stop_ends_keep_alive_handler(server, StatisticsClient)
+
+    def test_close_and_context_manager(self, server):
+        with StatisticsClient(*server.address) as pooled:
+            pooled.health()
+            assert len(pooled._idle) == 1
+        assert pooled._idle == []
+        with pytest.raises(ServiceError, match="closed"):
+            pooled.health()
+        pooled.close()  # idempotent
