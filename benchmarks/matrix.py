@@ -24,7 +24,9 @@ and records throughput plus latency quantiles pulled from the cell's own
   ablation under sustained ingest: the pre-RCU locked read path vs the
   lock-free published-snapshot path on one store;
 * ``read_qps_shards_1`` / ``read_qps_shards_4`` -- read QPS under ingest
-  through the coordinator over the emulated per-shard serve engines.
+  through the coordinator over the emulated per-shard serve engines;
+* ``merge_dado_3`` -- the cluster's merged-estimate merge: superimpose three
+  DADO piece snapshots and reduce the union to 64 buckets.
 
 The emitted JSON (one file per host) is **schema-versioned** and stamped
 with a host fingerprint (python version, numpy version, CPU count); derived
@@ -324,6 +326,77 @@ def run_cluster_rf_cell(config: dict, sizes: dict) -> dict:
     }
 
 
+def merge_piece_snapshots(n_sets: int, seed: int = 6) -> list[list[dict]]:
+    """``n_sets`` serialised 3-piece DADO attributes at the perfbench shape.
+
+    One drifting clustered stream (the paper's 2000-cluster layout over
+    0..5000, mean rising by 2500) is cut at its tertiles into three 1 KB DADO
+    pieces and ingested 256 values at a time, as in perfbench's
+    ``cluster_partitioned``; the pieces are snapshotted at ``n_sets`` evenly
+    spaced points of the stream.
+    """
+    from repro import ClusterDistributionConfig, generate_cluster_values
+    from repro.core import build_dynamic_histogram
+    from repro.persistence import histogram_to_dict
+
+    batch, batches_per_set = 256, 8
+    n_values = n_sets * batches_per_set * batch
+    base = generate_cluster_values(ClusterDistributionConfig(domain=(0, 5000), seed=seed))
+    values = np.random.default_rng(seed).choice(base, n_values)
+    values = values + np.floor(np.arange(n_values) * (2500 / n_values))
+    cuts = np.quantile(values, [1 / 3, 2 / 3])
+    pieces = [build_dynamic_histogram("dado", memory_kb=1.0) for _ in range(3)]
+    sets = []
+    for index, start in enumerate(range(0, n_values, batch), start=1):
+        chunk = values[start : start + batch]
+        piece_of = np.searchsorted(cuts, chunk, side="right")
+        for piece_index, piece in enumerate(pieces):
+            piece.insert_many(chunk[piece_of == piece_index].tolist(), repartition_interval=16)
+        if index % batches_per_set == 0:
+            sets.append([json.loads(json.dumps(histogram_to_dict(piece))) for piece in pieces])
+    return sets
+
+
+def run_merge_cell(config: dict, sizes: dict) -> dict:
+    """The coordinator's Section 8 merge: superimpose + reduce of piece snapshots.
+
+    The pieces are decoded once, outside the timed region; each timed merge
+    superimposes one set of decoded pieces and reduces the union to
+    ``global_buckets`` buckets, as a cluster's merged estimate does.
+    """
+    from repro.distributed.union import reduce_segments, superimpose
+    from repro.persistence import histogram_from_dict
+
+    sets = [
+        [histogram_from_dict(state) for state in states]
+        for states in merge_piece_snapshots(sizes["merge_sets"])
+    ]
+    registry = MetricsRegistry()
+    lat = registry.distribution(
+        "matrix_merge_seconds", "Per-merge superimpose + reduce latency", LATENCY_BUCKETS_S
+    )
+    best = float("inf")
+    for _ in range(sizes["repeats"]):
+        t0 = time.perf_counter()
+        for members in sets:
+            t_merge = time.perf_counter()
+            merged = reduce_segments(superimpose(members), config["global_buckets"])
+            lat.observe(time.perf_counter() - t_merge)
+        best = min(best, time.perf_counter() - t0)
+    return {
+        "ops_per_sec": round(len(sets) / best, 1),
+        **_quantile_block(registry, "matrix_merge_seconds"),
+        "detail": {
+            "pieces": 3,
+            "histogram": "dado",
+            "merges": len(sets),
+            "global_buckets": config["global_buckets"],
+            "union_buckets": superimpose(sets[-1]).bucket_count,
+            "merged_buckets": merged.bucket_count,
+        },
+    }
+
+
 def run_store_read_cell(config: dict, sizes: dict) -> dict:
     """Single-node read ablation under sustained ingest (knob: read path).
 
@@ -472,6 +545,7 @@ CELLS: dict[str, dict[str, Any]] = {
     "read_published_single": {"kind": "store_read", "read_path": "published"},
     "read_qps_shards_1": {"kind": "cluster_read", "shards": 1},
     "read_qps_shards_4": {"kind": "cluster_read", "shards": 4},
+    "merge_dado_3": {"kind": "merge", "global_buckets": 64},
 }
 
 RUNNERS: dict[str, Callable[[dict, dict], dict]] = {
@@ -482,6 +556,7 @@ RUNNERS: dict[str, Callable[[dict, dict], dict]] = {
     "cluster_rf": run_cluster_rf_cell,
     "store_read": run_store_read_cell,
     "cluster_read": run_cluster_read_cell,
+    "merge": run_merge_cell,
 }
 
 #: Derived ratios: name -> (numerator cell, denominator cell).  Each reads
@@ -516,6 +591,7 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
             "read_write_chunk": 4_000,
             "read_writers": 2,
             "read_readers": 4,
+            "merge_sets": 24,
         }
     return {
         "hist_values": 80_000,
@@ -533,6 +609,7 @@ def matrix_sizes(smoke: bool) -> dict[str, float]:
         "read_write_chunk": 4_000,
         "read_writers": 2,
         "read_readers": 8,
+        "merge_sets": 48,
     }
 
 

@@ -923,7 +923,7 @@ class ClusterCoordinator:
         snapshot reported, and only pieces whose freshly probed generation
         differs from that retained per-piece generation are re-fetched.
         The retained members are immutable inputs (superimpose only reads
-        ``buckets()``), and an unchanged generation means an identical
+        their segment views), and an unchanged generation means an identical
         snapshot, so the incremental superimpose + reduce is bit-identical
         to a from-scratch rebuild over full snapshots -- the probe-before-
         snapshot direction holds per piece exactly as in the all-piece case.

@@ -126,8 +126,10 @@ class BucketArray:
     def to_rows(self) -> list[list[object]]:
         """Serialise as ``[left, right, [sub_counts...]]`` rows (JSON shape)."""
         return [
-            [float(self.lefts[i]), float(self.rights[i]), [float(c) for c in self.sub_counts[i]]]
-            for i in range(len(self))
+            [left, right, counts]
+            for left, right, counts in zip(
+                self.lefts.tolist(), self.rights.tolist(), self.sub_counts.tolist(), strict=True
+            )
         ]
 
     # ------------------------------------------------------------------

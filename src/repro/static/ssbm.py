@@ -18,6 +18,7 @@ Figure 13 of the paper illustrates.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from ..core.deviation import DeviationMetric
 from ..metrics.distribution import DataDistribution
 from .base import StaticHistogram, frequency_elements, value_range_bucket
 
-__all__ = ["SSBMHistogram", "ssbm_partition"]
+__all__ = ["SSBMHistogram", "merge_adjacent", "ssbm_partition"]
 
 
 def ssbm_partition(
@@ -74,62 +75,63 @@ def ssbm_partition(
         segment = slice(start, end + 1)
         return float(np.sum(w[segment] * np.abs(freqs[segment] - mean)))
 
-    # Doubly linked list of live buckets, each identified by its original index.
-    start_of = list(range(n_values))
-    end_of = list(range(n_values))
-    next_bucket: list[int | None] = [
-        i + 1 if i + 1 < n_values else None for i in range(n_values)
-    ]
-    prev_bucket: list[int | None] = [i - 1 if i > 0 else None for i in range(n_values)]
-    version = [0] * n_values
-    alive = [True] * n_values
+    return merge_adjacent(n_values, n_buckets, merged_cost)
 
-    heap: list[tuple[float, int, int, int, int]] = []
-    for bucket_id in range(n_values - 1):
-        cost = merged_cost(start_of[bucket_id], end_of[bucket_id + 1])
-        heapq.heappush(
-            heap, (cost, bucket_id, bucket_id + 1, version[bucket_id], version[bucket_id + 1])
-        )
 
-    remaining = n_values
+def merge_adjacent(
+    n_elements: int,
+    n_buckets: int,
+    merged_cost: Callable[[int, int], float],
+    pair_costs: Sequence[float] | None = None,
+) -> list[tuple[int, int]]:
+    """Greedily merge adjacent runs of ``n_elements`` elements into ``n_buckets``.
+
+    Every element starts as its own run; the adjacent pair of runs whose
+    ``merged_cost(start, end)`` (inclusive element range of the would-be
+    merged run) is smallest is merged next, until ``n_buckets`` runs remain.
+    ``pair_costs[i]``, when given, must equal ``merged_cost(i, i + 1)``; it
+    lets a caller compute the opening pair costs in bulk.  Costs must not be
+    NaN: ties break on the run indices, so the outcome depends only on the
+    costs.  Returns the inclusive ``(start, end)`` element range of each run.
+    """
+    if pair_costs is None:
+        pair_costs = [merged_cost(i, i + 1) for i in range(n_elements - 1)]
+    # Lazy priority queue over a doubly linked list of runs, each named by its
+    # first element.  A merge bumps the version of both runs, which makes
+    # every queued entry that names either of them stale.
+    end_of = list(range(n_elements))
+    next_run = list(range(1, n_elements + 1))
+    prev_run = list(range(-1, n_elements - 1))
+    version = [0] * n_elements
+    heap = [(cost, run, run + 1, 0, 0) for run, cost in enumerate(pair_costs)]
+    heapq.heapify(heap)
+
+    remaining = n_elements
     while remaining > n_buckets and heap:
-        cost, left_id, right_id, left_version, right_version = heapq.heappop(heap)
-        if not (alive[left_id] and alive[right_id]):
+        _, left, right, left_version, right_version = heapq.heappop(heap)
+        if version[left] != left_version or version[right] != right_version:
             continue
-        if version[left_id] != left_version or version[right_id] != right_version:
-            continue
-        if next_bucket[left_id] != right_id:
-            continue
-
-        # Merge right_id into left_id.
-        end_of[left_id] = end_of[right_id]
-        alive[right_id] = False
-        version[left_id] += 1
-        successor = next_bucket[right_id]
-        next_bucket[left_id] = successor
-        if successor is not None:
-            prev_bucket[successor] = left_id
+        end_of[left] = end_of[right]
+        version[left] += 1
+        version[right] += 1
+        successor = next_run[left] = next_run[right]
+        if successor < n_elements:
+            prev_run[successor] = left
         remaining -= 1
+        predecessor = prev_run[left]
+        if predecessor >= 0:
+            cost = merged_cost(predecessor, end_of[left])
+            heapq.heappush(heap, (cost, predecessor, left, version[predecessor], version[left]))
+        if successor < n_elements:
+            cost = merged_cost(left, end_of[successor])
+            heapq.heappush(heap, (cost, left, successor, version[left], version[successor]))
 
-        predecessor = prev_bucket[left_id]
-        if predecessor is not None:
-            new_cost = merged_cost(start_of[predecessor], end_of[left_id])
-            heapq.heappush(
-                heap, (new_cost, predecessor, left_id, version[predecessor], version[left_id])
-            )
-        if successor is not None:
-            new_cost = merged_cost(start_of[left_id], end_of[successor])
-            heapq.heappush(
-                heap, (new_cost, left_id, successor, version[left_id], version[successor])
-            )
-
-    partition: list[tuple[int, int]] = []
-    bucket_id: int | None = 0
-    while bucket_id is not None:
-        if alive[bucket_id]:
-            partition.append((start_of[bucket_id], end_of[bucket_id]))
-        bucket_id = next_bucket[bucket_id]
-    return partition
+    runs: list[tuple[int, int]] = []
+    run = 0
+    while run < n_elements:
+        runs.append((run, end_of[run]))
+        run = next_run[run]
+    return runs
 
 
 class SSBMHistogram(StaticHistogram):

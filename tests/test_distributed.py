@@ -97,6 +97,18 @@ class TestReduction:
         with pytest.raises(ConfigurationError):
             reduce_segments(histogram, 0)
 
+    @pytest.mark.parametrize("n_buckets", [2, 8])
+    @pytest.mark.parametrize(
+        "bad", [{"value_unit": 0.0}, {"value_unit": -1.0}, {"metric": "median"}]
+    )
+    def test_arguments_validated_whether_or_not_a_merge_happens(self, n_buckets, bad):
+        # Three segments: a budget of 2 merges, a budget of 8 returns the
+        # input unchanged -- both must reject the same bad arguments.
+        union = superimpose([ExactHistogram.build(DataDistribution([1, 2, 2, 3]))])
+        assert union.bucket_count == 3
+        with pytest.raises(ConfigurationError):
+            reduce_segments(union, n_buckets, **bad)
+
 
 class TestDegenerateClusterInputs:
     """The degenerate shapes a live cluster feeds into the union operators.

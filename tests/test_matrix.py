@@ -88,6 +88,15 @@ class TestMatrixCells:
         assert micro_report["cells"]["shards_2"]["detail"]["shards"] == 2
         assert micro_report["cells"]["rf_2"]["detail"]["replication_factor"] == 2
 
+    def test_merge_cell_reduces_three_dado_pieces_to_the_budget(self, matrix):
+        report = matrix.run_matrix(
+            smoke=True, cells=["merge_dado_3"], sizes={**MICRO_SIZES, "merge_sets": 2}
+        )
+        cell = report["cells"]["merge_dado_3"]
+        assert cell["ops_per_sec"] > 0
+        assert cell["detail"]["merges"] == 2
+        assert cell["detail"]["union_buckets"] > cell["detail"]["merged_buckets"] == 64
+
     def test_profile_flag_embeds_attribution(self, matrix):
         report = matrix.run_matrix(
             smoke=True, profile=True, cells=["hist_dc"], sizes=MICRO_SIZES

@@ -75,6 +75,26 @@ class TestDictRoundTrip:
         assert restored.total_count == pytest.approx(original.total_count)
         assert ks_statistic(truth, restored, value_unit=1.0) < 0.1
 
+    @pytest.mark.parametrize("histogram_class", [DVOHistogram, DADOHistogram])
+    def test_serialised_rows_are_plain_floats_of_the_arrays(self, histogram_class, uniform_values):
+        # The bulk tolist() rows must be exactly the per-element float() rows,
+        # so the JSON text of a snapshot does not change.
+        import json
+
+        histogram = histogram_class(20)
+        histogram.insert_many([float(v) for v in uniform_values[:3000]])
+        array = histogram.bucket_array
+        rows = histogram_to_dict(histogram)["buckets"]
+        expected = [
+            [float(left), float(right), [float(c) for c in counts]]
+            for left, right, counts in zip(
+                array.lefts, array.rights, array.sub_counts, strict=True
+            )
+        ]
+        values = [value for left, right, counts in rows for value in (left, right, *counts)]
+        assert all(type(value) is float for value in values)
+        assert json.dumps(rows) == json.dumps(expected)
+
     def test_round_trip_during_loading_phase(self):
         histogram = DADOHistogram(16)
         histogram.insert(3.0)
