@@ -385,9 +385,11 @@ def _run_server_command(command, args, out) -> int:
     command's ``finally`` tears everything down, and the exit is clean.
     Running the teardown in the handler itself would deadlock: the handler
     runs on the thread inside ``serve_forever``, and stopping the server
-    waits for that loop to exit.  Handlers can only be installed from the
-    main thread; elsewhere (``main`` driven from a worker thread) the
-    command runs as is.
+    waits for that loop to exit.  SIGINT raises ``KeyboardInterrupt`` even
+    when it was inherited as ignored (a non-interactive background job), so
+    Ctrl-C and ``kill -INT`` stop the server the same way everywhere.
+    Handlers can only be installed from the main thread; elsewhere (``main``
+    driven from a worker thread) the command runs as is.
     """
     if threading.current_thread() is not threading.main_thread():
         return command(args, out)
@@ -398,12 +400,37 @@ def _run_server_command(command, args, out) -> int:
         raise _Terminated
 
     previous = signal.signal(signal.SIGTERM, terminate)
+    previous_int = signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         return command(args, out)
     except _Terminated:
         return 0
     finally:
+        signal.signal(signal.SIGINT, previous_int)
         signal.signal(signal.SIGTERM, previous)
+
+
+def _serve_until_done(server, args, out) -> int:
+    """The tail of both serve commands, after their own banner lines.
+
+    Writes the tracing line, then serves for ``--duration`` seconds from a
+    background thread or in the foreground until interrupted.  The caller's
+    ``finally`` stops the server.
+    """
+    if args.trace or args.slow_request_ms is not None:
+        detail = "tracing: X-Repro-Trace-Id enabled"
+        if args.slow_request_ms is not None:
+            detail += f", slow-request log above {args.slow_request_ms:g} ms"
+        out.write(detail + "\n")
+    if hasattr(out, "flush"):
+        out.flush()
+    if args.duration is not None:
+        server.start()
+        time.sleep(args.duration)
+        return 0
+    with contextlib.suppress(KeyboardInterrupt):  # pragma: no cover
+        server.serve_forever()
+    return 0  # pragma: no cover
 
 
 def _command_serve(args, out) -> int:
@@ -458,13 +485,6 @@ def _command_serve(args, out) -> int:
         attributes = ", ".join(store.names()) or "none"
         out.write(f"statistics service listening on http://{host}:{port}\n")
         out.write(f"attributes: {attributes}\n")
-        if args.trace or args.slow_request_ms is not None:
-            threshold = (
-                f", slow-request log above {args.slow_request_ms:g} ms"
-                if args.slow_request_ms is not None
-                else ""
-            )
-            out.write(f"tracing: X-Repro-Trace-Id enabled{threshold}\n")
         if sampler is not None:
             out.write(
                 f"accuracy sampling: {args.accuracy_sample:g} of estimate batches\n"
@@ -472,18 +492,10 @@ def _command_serve(args, out) -> int:
         if args.wal_dir is not None:
             state = "recovered existing catalog" if recovered else "fresh log"
             out.write(f"durability: WAL at {args.wal_dir} ({state})\n")
-        if hasattr(out, "flush"):
-            out.flush()
-        if args.duration is not None:
-            server.start()
-            time.sleep(args.duration)
-            return 0
-        with contextlib.suppress(KeyboardInterrupt):  # pragma: no cover
-            server.serve_forever()
+        return _serve_until_done(server, args, out)
     finally:
         server.stop()
         store.close()
-    return 0  # pragma: no cover
 
 
 def _parse_partition_spec(spec: str):
@@ -631,19 +643,7 @@ def _command_serve_cluster(args, out) -> int:
             state = "recovered existing catalogs" if recovered_any else "fresh logs"
             owner = " (worker-owned)" if supervisor is not None else ""
             out.write(f"durability: per-shard WALs under {args.wal_dir} ({state}){owner}\n")
-        if args.trace or args.slow_request_ms is not None:
-            detail = "tracing: X-Repro-Trace-Id enabled"
-            if args.slow_request_ms is not None:
-                detail += f", slow-request log above {args.slow_request_ms:g} ms"
-            out.write(detail + "\n")
-        if hasattr(out, "flush"):
-            out.flush()
-        if args.duration is not None:
-            server.start()
-            time.sleep(args.duration)
-            return 0
-        with contextlib.suppress(KeyboardInterrupt):  # pragma: no cover
-            server.serve_forever()
+        return _serve_until_done(server, args, out)
     finally:
         if server is not None:
             server.stop()  # also closes the coordinator's fan-out pool
@@ -653,7 +653,6 @@ def _command_serve_cluster(args, out) -> int:
             supervisor.close()
         for store in stores:
             store.close()
-    return 0  # pragma: no cover
 
 
 def format_store_stats(attributes) -> str:

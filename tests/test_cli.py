@@ -606,3 +606,38 @@ class TestServerTeardown:
             assert sorted(closed) == ["server", "supervisor"]
             assert len(worker_pids) == 1
             assert not any(_live_worker(pid) for pid in worker_pids)
+
+    def test_sigint_stops_serve_started_with_sigint_ignored(self):
+        """Regression: a non-interactive background job starts with SIGINT
+        ignored, and ``serve`` inherited that, so SIGINT never stopped it."""
+        import re
+        import signal
+        import subprocess
+        import sys
+
+        from repro import StatisticsClient
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "-a", "age:dc:0.5"],
+            stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            banner = ""
+            while "attributes:" not in banner:
+                line = process.stdout.readline().decode()
+                assert line, f"server exited during start-up: {banner!r}"
+                banner += line
+            port = int(re.search(r"http://127\.0\.0\.1:(\d+)", banner).group(1))
+            # A served request shows the main thread is inside serve_forever.
+            with StatisticsClient("127.0.0.1", port) as client:
+                assert client.health()["status"] == "ok"
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=10) == 0
+        finally:
+            process.kill()
+            process.wait()
+            process.stdout.close()
+        assert not _port_bound(port)
